@@ -1,7 +1,7 @@
 """Table 1 — Recall on the SIFT1M stand-in: HNSW vs RS/RH/APD at
 (1,8)- and (2,4)-partitioning, R@{1,5,10,15,50,100}."""
 from repro.core.querying import query_index
-from repro.eval.experiments import emit_table, PAPER_T1, format_table_1_or_4
+from repro.eval.experiments import render_table
 from repro.synth_data import sift_like
 
 from benchmarks.conftest import SCALE
@@ -9,7 +9,7 @@ from benchmarks.conftest import SCALE
 
 def test_table1_sift_recall(spark, benchmark, sift_sweep):
     res, work = sift_sweep
-    emit_table("table1", "Table 1: SIFT recall (ours vs paper)", format_table_1_or_4(res, PAPER_T1))
+    render_table("table1", res)
     ds = sift_like(n=max(2000, int(20_000 * SCALE)), n_queries=max(50, int(400 * SCALE)))
     # representative op: one full pipeline query pass on the APD(1,8) store
     benchmark.pedantic(

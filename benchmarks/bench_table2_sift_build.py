@@ -1,6 +1,6 @@
 """Table 2 — Build times on the SIFT1M stand-in vs executor count."""
 from repro.core.indexing import build_index
-from repro.eval.experiments import emit_table, PAPER_T2, format_build_table
+from repro.eval.experiments import render_table
 from repro.segmenters import learn_segmenter
 from repro.synth_data import sift_like, vectors_to_df
 
@@ -9,7 +9,7 @@ from benchmarks.conftest import SCALE
 
 def test_table2_sift_build(spark, benchmark, sift_sweep, tmp_path):
     res, _ = sift_sweep
-    emit_table("table2", "Table 2: SIFT build times, (1,8)-partitioning (ours s vs paper min)", format_build_table(res, PAPER_T2, "(1,8)"))
+    render_table("table2", res)
     ds = sift_like(n=max(2000, int(20_000 * SCALE)), n_queries=50)
     df = vectors_to_df(spark, ds.base, ds.ids).cache(); df.count()
     seg = learn_segmenter("RS", 8)

@@ -1,6 +1,6 @@
 """Table 4 — Recall on the GIST1M stand-in, (1,8)-partitioning."""
 from repro.core.querying import query_index
-from repro.eval.experiments import emit_table, PAPER_T4, format_table_1_or_4
+from repro.eval.experiments import render_table
 from repro.synth_data import gist_like
 
 from benchmarks.conftest import SCALE
@@ -8,7 +8,7 @@ from benchmarks.conftest import SCALE
 
 def test_table4_gist_recall(spark, benchmark, gist_sweep):
     res, work = gist_sweep
-    emit_table("table4", "Table 4: GIST recall (ours vs paper)", format_table_1_or_4(res, PAPER_T4))
+    render_table("table4", res)
     ds = gist_like(n=max(1500, int(10_000 * SCALE)), n_queries=max(40, int(200 * SCALE)))
     benchmark.pedantic(
         lambda: query_index(spark, f"{work}/APD_1_8-E8", ds.queries, 100, ef=160).count(),

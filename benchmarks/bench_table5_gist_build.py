@@ -1,6 +1,6 @@
 """Table 5 — Build times on the GIST1M stand-in vs executor count."""
 from repro.core.indexing import build_index
-from repro.eval.experiments import emit_table, PAPER_T5, format_build_table
+from repro.eval.experiments import render_table
 from repro.segmenters import learn_segmenter
 from repro.synth_data import gist_like, vectors_to_df
 
@@ -9,7 +9,7 @@ from benchmarks.conftest import SCALE
 
 def test_table5_gist_build(spark, benchmark, gist_sweep, tmp_path):
     res, _ = gist_sweep
-    emit_table("table5", "Table 5: GIST build times, (1,8)-partitioning (ours s vs paper min)", format_build_table(res, PAPER_T5, "(1,8)"))
+    render_table("table5", res)
     ds = gist_like(n=max(1500, int(10_000 * SCALE)), n_queries=40)
     df = vectors_to_df(spark, ds.base, ds.ids).cache(); df.count()
     seg = learn_segmenter("RS", 8)

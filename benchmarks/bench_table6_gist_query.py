@@ -1,6 +1,6 @@
 """Table 6 — Query times (ms/query) on the GIST1M stand-in."""
 from repro.core.querying import query_index
-from repro.eval.experiments import emit_table, PAPER_T6, format_query_table
+from repro.eval.experiments import render_table
 from repro.synth_data import gist_like
 
 from benchmarks.conftest import SCALE
@@ -8,7 +8,7 @@ from benchmarks.conftest import SCALE
 
 def test_table6_gist_query(spark, benchmark, gist_sweep):
     res, work = gist_sweep
-    emit_table("table6", "Table 6: GIST query times (ms/query, ours vs paper)", format_query_table(res, PAPER_T6, ("(1,8)",)))
+    render_table("table6", res)
     ds = gist_like(n=max(1500, int(10_000 * SCALE)), n_queries=max(40, int(200 * SCALE)))
     benchmark.pedantic(
         lambda: query_index(spark, f"{work}/RH_1_8-E8", ds.queries, 100, ef=160).count(),

@@ -1,10 +1,10 @@
 """Table 8 — Build and query times for the real-world dataset proxies."""
-from repro.eval.experiments import emit_table, format_table8
+from repro.eval.experiments import render_table
 
 
 def test_table8_realworld_times(spark, benchmark, realworld_rows):
     rows, _ = realworld_rows
-    emit_table("table8", "Table 8: real-world build/query times (proxies; ours vs paper)", format_table8(rows))
+    render_table("table8", rows)
     # representative op: summing measured times is trivial; re-time the
     # smallest end-to-end proxy so the bench records a real duration
     from repro.eval.experiments import REALWORLD_SPECS, run_realworld  # noqa

@@ -2,13 +2,13 @@
 import numpy as np
 
 from repro.bruteforce.local import exact_topk
-from repro.eval.experiments import emit_table, format_table9
+from repro.eval.experiments import render_table
 from repro.synth_data import pymk_like
 
 
 def test_table9_realworld_recall(spark, benchmark, realworld_rows):
     rows, _ = realworld_rows
-    emit_table("table9", "Table 9: real-world recall (proxies; ours vs paper)", format_table9(rows))
+    render_table("table9", rows)
     ds = pymk_like(n=4000, n_queries=200)
     benchmark.pedantic(
         lambda: exact_topk(ds.queries, ds.base, 100, ids=ds.ids),

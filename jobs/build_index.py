@@ -6,12 +6,12 @@ Example:
 """
 import argparse
 
+from pyspark.sql import SparkSession
+
 from repro.core.indexing import build_index
 from repro.segmenters.learning import learn_segmenter, sample_vectors
 from repro import synth_data
 from repro.synth_data import vectors_to_df
-
-from _session import get_session
 
 
 def main() -> None:
@@ -31,7 +31,13 @@ def main() -> None:
     ap.add_argument("--ef-construction", type=int, default=100)
     args = ap.parse_args()
 
-    spark = get_session("lanns-build")
+    spark = (
+        SparkSession.builder.appName("lanns-build")
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
     ds = getattr(synth_data, args.dataset)(n=args.n)
     df = vectors_to_df(spark, ds.base, ds.ids)
     sample = sample_vectors(df, n_sample=min(ds.n, 8000))

@@ -6,12 +6,12 @@ Example:
 """
 import argparse
 
+from pyspark.sql import SparkSession
+
 from repro.bruteforce.local import exact_topk
 from repro.core.querying import query_index
 from repro.eval.recall import recall_table
 from repro import synth_data
-
-from _session import get_session
 
 
 def main() -> None:
@@ -25,7 +25,13 @@ def main() -> None:
     ap.add_argument("--checkpoint-dir", default=None)
     args = ap.parse_args()
 
-    spark = get_session("lanns-query")
+    spark = (
+        SparkSession.builder.appName("lanns-query")
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
     ds = getattr(synth_data, args.dataset)(n=args.n)
     res = query_index(
         spark, args.index, ds.queries, args.topk, ef=args.ef,

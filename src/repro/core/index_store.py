@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 from dataclasses import asdict, dataclass
 
 from repro.hnsw.graph import HNSWIndex
@@ -81,8 +82,10 @@ class IndexStore:
         """Executor-side write of one serialized (shard, segment) index."""
         path = self.index_path(shard_id, segment_id)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
+        # A temp name unique to this attempt: retried or speculative
+        # attempts of the same partition never share (or truncate) one.
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        with open(tmp, "xb") as f:
             f.write(blob)
         os.replace(tmp, path)  # atomic: readers never see partial writes
         return path

@@ -77,9 +77,11 @@ def route_queries(
 ) -> DataFrame:
     """Fan each query out to every shard × its routed segment(s) (Fig 7).
 
-    Output: one row per (query, shard, segment) probe. Sharding is
-    hash-based so every query visits all S shards; segment fan-out is the
-    segmenter's routing decision under the given spill mode.
+    Output: one ``(query_id, segment_id, shard_id)`` row per probe, with no
+    vector — the query job broadcasts the query matrix instead of
+    shuffling a copy of it per probe. Sharding is hash-based so every
+    query visits all S shards; segment fan-out is the segmenter's routing
+    decision under the given spill mode.
     """
     blob = segmenter.to_bytes()
     bseg = spark.sparkContext.broadcast(blob)
@@ -92,16 +94,16 @@ def route_queries(
             vecs = np.stack(pdf[vec_col].to_numpy()).astype(np.float32)
             seg_lists = seg.route(vecs, spill=spill)
             counts = np.asarray([len(s) for s in seg_lists])
-            rep = np.repeat(np.arange(len(pdf)), counts)
-            base = pdf.iloc[rep][[id_col, vec_col]].reset_index(drop=True)
-            base["segment_id"] = np.concatenate(seg_lists) if len(seg_lists) else []
+            qids = np.repeat(pdf[id_col].to_numpy(np.int64), counts)
+            segs = np.concatenate(seg_lists).astype(np.int64)
             # cross with all shards
-            frames = []
-            for s in range(n_shards):
-                f = base.copy()
-                f["shard_id"] = np.int64(s)
-                frames.append(f)
-            yield pd.concat(frames, ignore_index=True)
+            yield pd.DataFrame(
+                {
+                    id_col: np.tile(qids, n_shards),
+                    "segment_id": np.tile(segs, n_shards),
+                    "shard_id": np.repeat(np.arange(n_shards, dtype=np.int64), len(qids)),
+                }
+            )
 
-    schema = f"{id_col} long, {vec_col} array<float>, segment_id long, shard_id long"
+    schema = f"{id_col} long, segment_id long, shard_id long"
     return queries_df.select(id_col, vec_col).mapInPandas(route, schema=schema)

@@ -8,7 +8,9 @@ Stages, each one a DataFrame transformation:
 2. a *SearchExecutorContext* is formed: each query is routed to every
    shard × the segment(s) the broadcast segmenter selects for it, and
    the (shard, segment) probes are grouped into executor buckets
-   (DESIGN.md substitution #4);
+   (DESIGN.md substitution #4). Only the probe ids
+   (query_id, segment_id, shard_id) are shuffled; the query vectors reach
+   every task through one broadcast, as in the brute force (Fig 8);
 3. partial search: each bucket task loads its (shard, segment) HNSW
    indices from the store and searches its queries with k =
    ``perShardTopK`` (Sec 5.3.2 — propagated unchanged to segments);
@@ -17,7 +19,9 @@ Stages, each one a DataFrame transformation:
 5. shard-level merge per query — the broker-side final merge.
 
 Merges are Catalyst-planned window row_number() over (dist, neighbor_id)
-(see ``repro.bruteforce.spark_bf.merge_topk``).
+(see ``repro.bruteforce.spark_bf.merge_topk``). The partials are
+hash-partitioned on query_id once, which already clusters both merge
+levels, so neither plans another shuffle.
 """
 from __future__ import annotations
 
@@ -68,6 +72,7 @@ def query_index(
     )
 
     queries = np.ascontiguousarray(queries, dtype=np.float32)
+    bq = spark.sparkContext.broadcast(queries)
     qdf = vectors_to_df(spark, queries, id_col="query_id")
     if n_query_partitions:
         qdf = qdf.repartition(n_query_partitions)
@@ -89,9 +94,8 @@ def query_index(
         frames = []
         for (s, m), grp in sorted(pdf.groupby(["shard_id", "segment_id"])):
             idx = local_store.read_index(int(s), int(m))
-            qvecs = np.stack(grp["vector"].to_numpy()).astype(np.float32)
             qids = grp["query_id"].to_numpy(np.int64)
-            nn_ids, nn_d = idx.search(qvecs, pstk, ef=ef_eff)
+            nn_ids, nn_d = idx.search(bq.value[qids], pstk, ef=ef_eff)
             kk = nn_ids.shape[1]
             if kk == 0:
                 continue
@@ -121,9 +125,13 @@ def query_index(
         partials = checkpoint(partials, spark, checkpoint_dir, "partials")
 
     # Level 1: segment merge within (query, shard) — keeps perShardTopK.
-    shard_results = merge_topk(partials, pstk, by=("query_id", "shard_id")).drop("rank")
-    if checkpoint_dir is not None:
-        shard_results = checkpoint(shard_results, spark, checkpoint_dir, "shard-results")
+    shard_results = merge_topk(
+        partials.repartition("query_id"), pstk, by=("query_id", "shard_id")
+    ).drop("rank")
+    if checkpoint_dir is not None:  # the re-read loses the partitioning
+        shard_results = checkpoint(
+            shard_results, spark, checkpoint_dir, "shard-results"
+        ).repartition("query_id")
 
     # Level 2: shard merge per query — the broker-side final topK.
     return merge_topk(shard_results.drop("shard_id"), topk, by=("query_id",))

@@ -16,11 +16,16 @@ at p = 0.95.
 Per the paper, the *segment* level propagates the shard-level value
 unchanged — a per-segment reduction could return fewer than topK results
 when hyperplane segmenters route to a single segment.
+
+``merge_topk_arrays`` is the numpy merge both in-process levels (the
+searcher's segment merge and the broker's shard merge) share.
 """
 from __future__ import annotations
 
 import math
 from statistics import NormalDist
+
+import numpy as np
 
 
 def per_shard_topk(topk: int, n_shards: int, confidence: float = 0.95) -> int:
@@ -37,3 +42,22 @@ def per_shard_topk(topk: int, n_shards: int, confidence: float = 0.95) -> int:
     z = NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
     ci = s + z * math.sqrt(s * (1.0 - s) / topk)
     return min(topk, math.ceil(ci * topk))
+
+
+def merge_topk_arrays(
+    ids: np.ndarray, dists: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-process twin of ``spark_bf.merge_topk`` for one group.
+
+    Dedupes candidate ``ids`` (each keeps its min dist), orders by
+    (dist, id) and keeps the best ``k``; returns ``(ids, dists)``.
+    """
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    dists = np.asarray(dists).ravel()
+    order = np.lexsort((dists, ids))  # by id, then dist: first of a run is its min
+    ids, dists = ids[order], dists[order]
+    first = np.ones(ids.shape[0], dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    ids, dists = ids[first], dists[first]
+    best = np.lexsort((ids, dists))[:k]
+    return ids[best], dists[best]

@@ -1,17 +1,23 @@
 """Concrete experiment definitions for the paper's Tables 1-9.
 
-Shared by ``benchmarks/`` (pytest-benchmark) and ``jobs/`` (spark-submit)
-so the reproduced tables come from one code path. Paper numbers are
+Shared by ``benchmarks/`` (pytest-benchmark) and this module's command
+line, so the reproduced tables come from one code path. Paper numbers are
 embedded next to each runner so every harness prints paper-vs-measured
 rows directly (also recorded in EXPERIMENTS.md).
+
+Run one sweep and render its tables into ``results/``::
+
+    python -m repro.eval.experiments {sift,gist,groups,realworld} [--scale S] [--work-dir D]
 
 Scale substitutions (DESIGN.md): SIFT1M → sift_like 20k×32; GIST1M →
 gist_like 10k×128; Groups/People/PYMK/NearDupe → clustered proxies.
 """
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -390,3 +396,63 @@ def format_query_table(
                 )
             out.append(f"{e:<11}" + "".join(cells))
     return "\n".join(out)
+
+
+# ------------------------------------------------------------- entry point
+SWEEPS = {
+    "sift": run_sift,
+    "gist": run_gist,
+    "groups": run_groups_spill,
+    "realworld": run_realworld,
+}
+
+# table name -> (sweep, title, renderer of the sweep's result)
+TABLES = {
+    "table1": ("sift", "Table 1: SIFT recall (ours vs paper)",
+               lambda r: format_table_1_or_4(r, PAPER_T1)),
+    "table2": ("sift", "Table 2: SIFT build times, (1,8)-partitioning (ours s vs paper min)",
+               lambda r: format_build_table(r, PAPER_T2, "(1,8)")),
+    "table3": ("sift", "Table 3: SIFT query times (ms/query, ours vs paper)",
+               lambda r: format_query_table(r, PAPER_T3, ("(1,8)", "(2,4)"))),
+    "table4": ("gist", "Table 4: GIST recall (ours vs paper)",
+               lambda r: format_table_1_or_4(r, PAPER_T4)),
+    "table5": ("gist", "Table 5: GIST build times, (1,8)-partitioning (ours s vs paper min)",
+               lambda r: format_build_table(r, PAPER_T5, "(1,8)")),
+    "table6": ("gist", "Table 6: GIST query times (ms/query, ours vs paper)",
+               lambda r: format_query_table(r, PAPER_T6, ("(1,8)",))),
+    "table7": ("groups", "Table 7: Groups spill study (ours vs paper)", format_table7),
+    "table8": ("realworld", "Table 8: real-world build/query times (proxies; ours vs paper)",
+               format_table8),
+    "table9": ("realworld", "Table 9: real-world recall (proxies; ours vs paper)", format_table9),
+}
+
+
+def render_table(name: str, result) -> str:
+    """Render table ``name`` from its sweep's result via :func:`emit_table`."""
+    _, title, fmt = TABLES[name]
+    return emit_table(name, title, fmt(result))
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description="Run one sweep and render its tables.")
+    ap.add_argument("sweep", choices=sorted(SWEEPS))
+    ap.add_argument("--scale", type=float, default=1.0, help="shrinks the dataset when < 1")
+    ap.add_argument("--work-dir", default=None, help="index stores (default: a temp dir)")
+    args = ap.parse_args(argv)
+    spark = (
+        SparkSession.builder.appName(f"lanns-{args.sweep}")
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    work = args.work_dir or tempfile.mkdtemp(prefix=f"lanns-{args.sweep}-")
+    result = SWEEPS[args.sweep](spark, work, scale=args.scale)
+    for name, (sweep, _, _) in TABLES.items():
+        if sweep == args.sweep:
+            render_table(name, result)
+    spark.stop()
+
+
+if __name__ == "__main__":
+    main()

@@ -7,11 +7,10 @@ configuration", so the online path cannot diverge from the offline build
 """
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.core.index_store import IndexStore
+from repro.core.topk import merge_topk_arrays
 
 
 class Searcher:
@@ -36,23 +35,19 @@ class Searcher:
 
     def search(
         self, query: np.ndarray, per_shard_topk: int
-    ) -> list[tuple[float, int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Route to segment(s), search each, merge in-node (level-1 merge).
 
-        Returns up to ``per_shard_topk`` (dist, id) pairs ascending.
+        Returns up to ``per_shard_topk`` (ids, dists), ascending.
         """
         query = np.asarray(query, dtype=np.float32).reshape(1, -1)
         segs = self.segmenter.route(query, spill=self.meta.spill)[0]
-        candidates: dict[int, float] = {}
+        ids, dists = [np.empty(0, np.int64)], [np.empty(0, np.float32)]
         for m in segs:
             idx = self._segments.get(int(m))
             if idx is None:
                 continue
-            ids, dists = idx.search(query, per_shard_topk, ef=self.ef)
-            for i, d in zip(ids[0].tolist(), dists[0].tolist()):
-                prev = candidates.get(i)
-                if prev is None or d < prev:
-                    candidates[i] = d
-        return heapq.nsmallest(
-            per_shard_topk, ((d, i) for i, d in candidates.items())
-        )
+            i, d = idx.search(query, per_shard_topk, ef=self.ef)
+            ids.append(i[0])
+            dists.append(d[0])
+        return merge_topk_arrays(np.concatenate(ids), np.concatenate(dists), per_shard_topk)

@@ -76,6 +76,20 @@ class TestIndexFiles:
         files = os.listdir(os.path.join(store.root, "shard=0"))
         assert all(not f.endswith(".tmp") for f in files)
 
+    def test_concurrent_attempt_tmp_untouched(self, store):
+        """Another (retried/speculative) attempt's in-flight temp file of
+        the same partition survives this attempt's write."""
+        other = store.index_path(0, 0) + ".tmp"
+        os.makedirs(os.path.dirname(other), exist_ok=True)
+        with open(other, "wb") as f:
+            f.write(b"other attempt")
+            f.flush()
+            store.write_index_bytes(0, 0, b"this attempt")
+            with open(other, "rb") as g:
+                assert g.read() == b"other attempt"
+        with open(store.index_path(0, 0), "rb") as f:
+            assert f.read() == b"this attempt"
+
     def test_overwrite_replaces(self, store):
         store.write_index_bytes(0, 0, b"aaa")
         store.write_index_bytes(0, 0, b"bb")

@@ -1,11 +1,14 @@
 """Oracle-verified tests of the two-level merge primitive
 (repro.bruteforce.spark_bf.merge_topk) — the exact relational core of
-both the query pipeline (Sec 5.3) and brute force (Sec 5.4)."""
+both the query pipeline (Sec 5.3) and brute force (Sec 5.4) — and of its
+in-process numpy twin (repro.core.topk.merge_topk_arrays) that the
+serving searcher and broker use."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.bruteforce.spark_bf import checkpoint, merge_topk
+from repro.core.topk import merge_topk_arrays
 from repro.oracle import assert_equivalent
 
 
@@ -62,6 +65,31 @@ def test_segment_level_merge_oracle(spark, k):
     pdf = _partials(seed=3)
     got = merge_topk(spark.createDataFrame(pdf), k, by=("query_id", "shard_id"))
     assert_equivalent(got, SHARD_MERGE_SQL.format(k=k), partials=pdf)
+
+
+def _numpy_merge(pdf: pd.DataFrame, k: int, by: tuple[str, ...]) -> pd.DataFrame:
+    """``merge_topk_arrays`` run once per group of ``by`` columns."""
+    frames = []
+    for key, grp in pdf.groupby(list(by)):
+        ids, dists = merge_topk_arrays(
+            grp["neighbor_id"].to_numpy(), grp["dist"].to_numpy(), k
+        )
+        frames.append(
+            pd.DataFrame({**dict(zip(by, key)), "neighbor_id": ids, "dist": dists,
+                          "rank": np.arange(1, len(ids) + 1)})
+        )
+    return pd.concat(frames, ignore_index=True)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 50])
+def test_numpy_kernel_matches_oracle(k):
+    """The in-process merge equals the same DuckDB reference as the
+    Spark merge at both levels, ties and duplicate ids included."""
+    pdf = _partials()
+    assert_equivalent(_numpy_merge(pdf, k, ("query_id",)), MERGE_SQL.format(k=k), partials=pdf)
+    assert_equivalent(
+        _numpy_merge(pdf, k, ("query_id", "shard_id")), SHARD_MERGE_SQL.format(k=k), partials=pdf
+    )
 
 
 def test_two_level_equals_one_level_when_k_large(spark):

@@ -3,13 +3,14 @@ query (Fig 7), with the final merge oracle-verified from checkpointed
 partials and the index contents cross-checked against an independent
 driver-side reference build."""
 import os
+import re
 
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.bruteforce.local import exact_topk
-from repro.core import IndexStore, build_index, per_shard_topk, query_index
+from repro.core import IndexStore, build_index, per_shard_topk, query_index, route_queries
 from repro.eval.recall import recall_at_k
 from repro.oracle import assert_equivalent
 from repro.segmenters import learn_segmenter
@@ -178,13 +179,32 @@ class TestQuery:
                         use_per_shard_topk=False).toPandas()
         assert recall_at_k(a, gt, 20) >= recall_at_k(b, gt, 20) - 0.02
 
-    def test_matches_serving_broker(self, spark, ds, apd_store_root):
-        """Offline Spark pipeline ≡ online broker path on the same store."""
+    @pytest.mark.parametrize("spill", ["virtual", "physical"])
+    def test_matches_serving_broker(self, spark, ds, df, apd_store_root, tmp_path, spill):
+        """Offline Spark pipeline ≡ online broker path on the same store,
+        under either spill mode."""
         from repro.serving import Broker
 
-        res = query_index(spark, apd_store_root, ds.queries[:20], 10, ef=100).toPandas()
-        broker = Broker(IndexStore(apd_store_root), ef=100)
+        root = apd_store_root
+        if spill == "physical":
+            root = str(tmp_path / "apd-physical")
+            build_index(spark, df, root, _segmenter("APD", ds), 2, spill=spill,
+                        n_executors=4, ef_construction=60, hnsw_m=8)
+        res = query_index(spark, root, ds.queries[:20], 10, ef=100).toPandas()
+        broker = Broker(IndexStore(root), ef=100)
         for q in range(20):
             ids, _ = broker.search(ds.queries[q], 10)
             offline = res[res.query_id == q].sort_values("rank")["neighbor_id"]
             assert set(offline.tolist()) == set(ids.tolist())
+
+    def test_plan_shuffles_ids_once_per_stage(self, spark, ds, apd_store_root):
+        """Routing ships probe ids, not vectors, and the query plan has
+        exactly two Exchanges: the executor-bucket shuffle and the one
+        query_id shuffle both merge levels share."""
+        store = IndexStore(apd_store_root)
+        qdf = vectors_to_df(spark, ds.queries[:10], id_col="query_id")
+        routed = route_queries(spark, qdf, store.load_segmenter(), 2)
+        assert "vector" not in routed.columns
+        res = query_index(spark, apd_store_root, ds.queries[:10], 5, ef=50)
+        plan = res._jdf.queryExecution().executedPlan().toString()
+        assert len(re.findall(r"\bExchange\b", plan)) == 2, plan
