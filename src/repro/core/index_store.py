@@ -4,8 +4,8 @@ substitution #3: local filesystem standing in for HDFS).
 ```
 <root>/
   metadata.json            # written from the driver (Fig 6)
-  segmenter.bin            # the shared learnt segmenter (Fig 5)
-  shard=<s>/segment=<m>.hnsw   # serialized HNSW, written from executors
+  segmenter.bin            # the shared learnt segmenter (Fig 5), a repro.npz blob
+  shard=<s>/segment=<m>.hnsw   # HNSW as a repro.npz blob, written from executors
 ```
 
 The metadata bundles everything the online searcher needs to deserialize

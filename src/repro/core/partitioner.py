@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.segmenters.base import Segmenter, mix64, segmenter_from_bytes
+from repro.segmenters.base import Segmenter, mix64
 
 SHARD_SALT = 7  # distinct from the RS segmenter salt (see random_segmenter)
 
@@ -42,11 +42,10 @@ def tag_partitions(
     Output has one row per (point, segment) pair: with physical spill a
     point inside a boundary band appears in both children's segments.
     """
-    blob = segmenter.to_bytes()
-    bseg = spark.sparkContext.broadcast(blob)
+    bseg = spark.sparkContext.broadcast(segmenter)
 
     def tag(batches):
-        seg = segmenter_from_bytes(bseg.value)
+        seg = bseg.value
         for pdf in batches:
             if pdf.empty:
                 continue
@@ -83,11 +82,10 @@ def route_queries(
     query visits all S shards; segment fan-out is the segmenter's routing
     decision under the given spill mode.
     """
-    blob = segmenter.to_bytes()
-    bseg = spark.sparkContext.broadcast(blob)
+    bseg = spark.sparkContext.broadcast(segmenter)
 
     def route(batches):
-        seg = segmenter_from_bytes(bseg.value)
+        seg = bseg.value
         for pdf in batches:
             if pdf.empty:
                 continue

@@ -21,14 +21,12 @@ converted to true metric values only at the API boundary.
 from __future__ import annotations
 
 import math
-import pickle
 from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from repro.hnsw.distance import normalize_rows, validate_metric
-
-_PICKLE_PROTO = 4  # stable across workers/driver
+from repro.npz import pack, unpack
 
 
 class HNSWIndex:
@@ -324,36 +322,34 @@ class HNSWIndex:
     # --------------------------------------------------------- serialization
     def to_bytes(self) -> bytes:
         """Serialize graph + vectors + metadata (paper Sec 7: the shipped
-        index bundles embeddings, graph, and build configuration)."""
-        payload = {
-            "dim": self.dim,
-            "M": self.M,
-            "ef_construction": self.ef_construction,
-            "metric": self.metric,
-            "seed": self.seed,
-            "data": self._data,
-            "ids": self._ids,
-            "levels": self._levels,
-            "links": self._links,
-            "entry": self._entry,
-        }
-        return pickle.dumps(payload, protocol=_PICKLE_PROTO)
+        index bundles embeddings, graph, and build configuration).
+
+        ``repro.npz`` format: ``data``, ``ids``, ``levels``, and per layer
+        ``lc`` the int32 ``degrees<lc>``/``neighbors<lc>`` of the nodes with
+        level >= lc, in node order (the flat layout of FAISS ``IndexHNSW``).
+        """
+        arrays = {"data": self._data, "ids": self._ids,
+                  "levels": np.asarray(self._levels, dtype=np.int32)}
+        for lc, layer in enumerate(self._links):
+            nbrs = [layer[n] for n in sorted(layer)]
+            arrays[f"degrees{lc}"] = np.asarray([len(x) for x in nbrs], dtype=np.int32)
+            arrays[f"neighbors{lc}"] = np.asarray([n for x in nbrs for n in x], np.int32)
+        header = {"dim": self.dim, "M": self.M, "ef_construction": self.ef_construction,
+                  "metric": self.metric, "seed": self.seed, "entry": self._entry}
+        return pack("hnsw", header, arrays)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "HNSWIndex":
-        """Inverse of :meth:`to_bytes`."""
-        p = pickle.loads(blob)
-        idx = cls(
-            p["dim"],
-            M=p["M"],
-            ef_construction=p["ef_construction"],
-            metric=p["metric"],
-            seed=p["seed"],
-        )
-        idx._data = p["data"]
-        idx._sq_norms = np.einsum("ij,ij->i", p["data"], p["data"]).astype(np.float32)
-        idx._ids = p["ids"]
-        idx._levels = p["levels"]
-        idx._links = p["links"]
-        idx._entry = p["entry"]
+        """Inverse of :meth:`to_bytes`; ``ValueError`` on a bad blob."""
+        h, a = unpack(blob, "hnsw")
+        idx = cls(h["dim"], M=h["M"], ef_construction=h["ef_construction"],
+                  metric=h["metric"], seed=h["seed"])
+        idx._data, idx._ids, levels = a["data"], a["ids"], a["levels"]
+        idx._sq_norms = np.einsum("ij,ij->i", idx._data, idx._data).astype(np.float32)
+        idx._levels, idx._entry = levels.tolist(), h["entry"]
+        for lc in range(int(levels.max(initial=-1)) + 1):
+            flat, ends = a[f"neighbors{lc}"].tolist(), np.cumsum(a[f"degrees{lc}"])
+            starts = (ends - a[f"degrees{lc}"]).tolist()
+            nodes = np.flatnonzero(levels >= lc).tolist()
+            idx._links.append({n: flat[b:e] for n, b, e in zip(nodes, starts, ends.tolist())})
         return idx

@@ -2,13 +2,13 @@
 is stored once and shared by every shard's ingestion and querying)."""
 from __future__ import annotations
 
-import pickle
 from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.npz import pack, unpack
+
 SPILL_MODES = ("virtual", "physical")
-_PICKLE_PROTO = 4
 
 
 def validate_spill(spill: str) -> str:
@@ -40,17 +40,30 @@ class Segmenter(ABC):
     def kind(self) -> str:
         """Short name: 'RS', 'RH', or 'APD' (paper Sec 4.3 nomenclature)."""
 
+    @abstractmethod
+    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """(JSON header fields, named arrays) that rebuild this segmenter."""
+
     def to_bytes(self) -> bytes:
-        """Serialize for the index store / Spark broadcast."""
-        return pickle.dumps(self, protocol=_PICKLE_PROTO)
+        """Serialize for the index store (``repro.npz`` format)."""
+        header, arrays = self._state()
+        return pack("segmenter", {"kind": self.kind, **header}, arrays)
 
 
 def segmenter_from_bytes(blob: bytes) -> Segmenter:
-    """Inverse of :meth:`Segmenter.to_bytes`."""
-    obj = pickle.loads(blob)
-    if not isinstance(obj, Segmenter):
-        raise TypeError(f"blob did not deserialize to a Segmenter: {type(obj)}")
-    return obj
+    """Inverse of :meth:`Segmenter.to_bytes`; ``ValueError`` on a bad blob."""
+    from repro.segmenters.hyperplane import HyperplaneTreeSegmenter
+    from repro.segmenters.random_segmenter import RandomSegmenter
+
+    header, a = unpack(blob, "segmenter")
+    kind = header.get("kind")
+    if kind == "RS":
+        return RandomSegmenter(header["n_segments"])
+    if kind in ("RH", "APD"):
+        return HyperplaneTreeSegmenter(
+            a["H"], a["s"], a["l"], a["r"], kind=kind, alpha=header["alpha"]
+        )
+    raise ValueError(f"unknown segmenter kind {kind!r}")
 
 
 def mix64(x: np.ndarray, salt: int = 0) -> np.ndarray:

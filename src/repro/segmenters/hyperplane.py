@@ -2,8 +2,10 @@
 
 Paper Sec 4.3.2: each internal node holds a unit hyperplane ``h``, a
 median split point ``s`` and spill boundaries ``l``/``r`` (the 0.5∓α
-fractiles of the projections ``U = D·h``). Leaves are segment ids in
-left-to-right order, so a depth-L tree yields 2^L segments.
+fractiles of the projections ``U = D·h``). A depth-L tree is stored as
+four arrays in heap order: ``H`` of shape (2^L−1, d) and ``s``/``l``/``r``
+of shape (2^L−1,). Node ``i`` has children ``2i+1``/``2i+2``; heap index
+``j + 2^L − 1`` is leaf (segment) ``j``, so leaves run left to right.
 
 Insertion (data side, no spill): ``x·h < s`` → left else right.
 Query (virtual spill):           ``q·h < l`` → left, ``q·h > r`` → right,
@@ -13,62 +15,48 @@ queries take the median rule). See footnote 1 in the paper.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
 from repro.segmenters.base import Segmenter, validate_spill
-
-
-@dataclass
-class Node:
-    """One internal node: hyperplane + split point + spill band."""
-
-    h: np.ndarray  # (d,) unit hyperplane normal
-    s: float  # median split (0.5 fractile of projections)
-    l: float  # 0.5 - alpha fractile
-    r: float  # 0.5 + alpha fractile
-    left: Union["Node", int]  # subtree or leaf segment id
-    right: Union["Node", int]
-
-    def __post_init__(self):
-        if not (self.l <= self.s <= self.r):
-            raise ValueError(f"spill band must bracket split: l={self.l} s={self.s} r={self.r}")
-
 
 HyperplaneFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
 def learn_tree(
     sample: np.ndarray,
-    depth: int,
+    n_segments: int,
     alpha: float,
     hyperplane_fn: HyperplaneFn,
     *,
+    kind: str,
     seed: int = 0,
     min_node: int = 4,
-) -> Node:
-    """Recursively learn a depth-``depth`` tree of splitting hyperplanes.
+) -> "HyperplaneTreeSegmenter":
+    """Learn a tree of splitting hyperplanes with ``n_segments`` leaves.
 
-    ``hyperplane_fn(node_sample, rng) -> (d,) unit vector`` supplies the
-    direction (random for RH, approximate principal direction for APD).
-    ``alpha`` is the spill fraction (paper uses 0.15 → ~30% of queries
-    spill to both sides at each level).
+    ``n_segments`` must be a power of two >= 2. ``hyperplane_fn(node_sample,
+    rng) -> (d,) unit vector`` supplies the direction (random for RH,
+    approximate principal direction for APD). ``alpha`` is the spill
+    fraction (paper uses 0.15 → ~30% of queries spill to both sides at
+    each level). Nodes are learnt depth-first, left before right.
     """
+    if n_segments < 2 or n_segments & (n_segments - 1):
+        raise ValueError(f"n_segments must be a power of 2 >= 2, got {n_segments}")
     sample = np.asarray(sample, dtype=np.float32)
     if sample.ndim != 2 or sample.shape[0] < 2:
         raise ValueError(f"need a (n>=2, d) sample, got {sample.shape}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
     if not (0.0 <= alpha < 0.5):
         raise ValueError(f"alpha must be in [0, 0.5), got {alpha}")
     rng = np.random.default_rng(seed)
-    next_leaf = iter(range(1 << depth))
+    n_nodes = n_segments - 1
+    H = np.empty((n_nodes, sample.shape[1]), dtype=np.float32)
+    s, l, r = (np.empty(n_nodes) for _ in range(3))
 
-    def build(node_sample: np.ndarray, level: int) -> Union[Node, int]:
-        if level == depth:
-            return next(next_leaf)
+    def build(i: int, node_sample: np.ndarray) -> None:
+        if i >= n_nodes:
+            return
         if node_sample.shape[0] < min_node:
             # Degenerate node: fall back to a balanced random direction so
             # the tree keeps its full shape (leaf numbering stays dense).
@@ -81,41 +69,42 @@ def learn_tree(
                 raise ValueError("hyperplane_fn returned a zero vector")
             h = h / nrm
         u = node_sample @ h
-        s = float(np.median(u))
-        lo = float(np.quantile(u, 0.5 - alpha))
-        hi = float(np.quantile(u, 0.5 + alpha))
-        left = build(node_sample[u < s], level + 1)
-        right = build(node_sample[u >= s], level + 1)
-        return Node(h=h, s=s, l=min(lo, s), r=max(hi, s), left=left, right=right)
+        med = float(np.median(u))
+        H[i], s[i] = h, med
+        l[i] = min(float(np.quantile(u, 0.5 - alpha)), med)
+        r[i] = max(float(np.quantile(u, 0.5 + alpha)), med)
+        build(2 * i + 1, node_sample[u < med])
+        build(2 * i + 2, node_sample[u >= med])
 
-    root = build(sample, 0)
-    assert isinstance(root, Node)
-    return root
-
-
-def tree_depth(node: Union[Node, int]) -> int:
-    """Depth of the tree (0 for a bare leaf)."""
-    if isinstance(node, (int, np.integer)):
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+    build(0, sample)
+    return HyperplaneTreeSegmenter(H, s, l, r, kind=kind, alpha=alpha)
 
 
 class HyperplaneTreeSegmenter(Segmenter):
     """Segmenter backed by a learnt hyperplane tree (RH or APD)."""
 
-    def __init__(self, root: Node, *, kind: str, alpha: float) -> None:
-        self._root = root
+    def __init__(
+        self, H: np.ndarray, s: np.ndarray, l: np.ndarray, r: np.ndarray,
+        *, kind: str, alpha: float,
+    ) -> None:
+        self.H = np.asarray(H, dtype=np.float32)
+        self.s, self.l, self.r = (np.asarray(x, dtype=np.float64) for x in (s, l, r))
+        n_nodes = self.H.shape[0] if self.H.ndim == 2 else 0
+        full_tree = n_nodes >= 1 and not n_nodes & (n_nodes + 1)
+        if not full_tree or not self.s.shape == self.l.shape == self.r.shape == (n_nodes,):
+            raise ValueError(f"need H (2^L-1, d) and s/l/r (2^L-1,), got H {self.H.shape}")
+        if not np.all((self.l <= self.s) & (self.s <= self.r)):
+            raise ValueError("spill band must bracket split: l <= s <= r at every node")
         self._kind = kind
         self.alpha = float(alpha)
-        self.n_segments = 1 << tree_depth(root)
+        self.n_segments = n_nodes + 1
 
     @property
     def kind(self) -> str:
         return self._kind
 
-    @property
-    def root(self) -> Node:
-        return self._root
+    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"alpha": self.alpha}, {"H": self.H, "s": self.s, "l": self.l, "r": self.r}
 
     def _collect(
         self, vectors: np.ndarray, *, spilling: bool
@@ -129,28 +118,36 @@ class HyperplaneTreeSegmenter(Segmenter):
         if vectors.ndim == 1:
             vectors = vectors[None, :]
         n = vectors.shape[0]
-        out: list[list[int]] = [[] for _ in range(n)]
+        if n == 0:
+            return []
+        n_nodes = self.n_segments - 1
+        leaf_rows = [np.empty(0, dtype=np.intp)] * self.n_segments
 
-        def walk(node: Union[Node, int], rows: np.ndarray) -> None:
+        def walk(i: int, rows: np.ndarray) -> None:
             if rows.size == 0:
                 return
-            if isinstance(node, (int, np.integer)):
-                leaf = int(node)
-                for i in rows:
-                    out[i].append(leaf)
+            if i >= n_nodes:
+                leaf_rows[i - n_nodes] = rows
                 return
-            u = vectors[rows] @ node.h
+            u = vectors[rows] @ self.H[i]
+            # Python-float thresholds keep the comparison in float32 under
+            # both NumPy 1 and NumPy 2 promotion rules.
             if spilling:
-                go_left = u <= node.r
-                go_right = u >= node.l
+                go_left = u <= float(self.r[i])
+                go_right = u >= float(self.l[i])
             else:
-                go_left = u < node.s
+                go_left = u < float(self.s[i])
                 go_right = ~go_left
-            walk(node.left, rows[go_left])
-            walk(node.right, rows[go_right])
+            walk(2 * i + 1, rows[go_left])
+            walk(2 * i + 2, rows[go_right])
 
-        walk(self._root, np.arange(n))
-        return [np.asarray(sorted(set(x)), dtype=np.int64) for x in out]
+        walk(0, np.arange(n))
+        # (row, leaf) pairs in leaf order; a stable sort by row keeps each
+        # row's leaves ascending.
+        rows = np.concatenate(leaf_rows)
+        leaves = np.repeat(np.arange(self.n_segments), [len(x) for x in leaf_rows])
+        order = np.argsort(rows, kind="stable")
+        return np.split(leaves[order], np.cumsum(np.bincount(rows, minlength=n))[:-1])
 
     def assign(
         self, vectors: np.ndarray, ids: np.ndarray, *, spill: str = "virtual"

@@ -16,21 +16,23 @@ _RS_SALT = 101  # distinct from the shard-hash salt so (shard, segment)
 class RandomSegmenter(Segmenter):
     """Hash-modulo segmenter over external ids."""
 
-    def __init__(self, n_segments: int, *, salt: int = _RS_SALT) -> None:
+    def __init__(self, n_segments: int) -> None:
         if n_segments < 1:
             raise ValueError(f"n_segments must be >= 1, got {n_segments}")
         self.n_segments = int(n_segments)
-        self.salt = int(salt)
 
     @property
     def kind(self) -> str:
         return "RS"
 
+    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"n_segments": self.n_segments}, {}
+
     def assign(
         self, vectors: np.ndarray, ids: np.ndarray, *, spill: str = "virtual"
     ) -> list[np.ndarray]:
         validate_spill(spill)
-        segs = (mix64(np.asarray(ids, dtype=np.int64), self.salt) % np.uint64(
+        segs = (mix64(np.asarray(ids, dtype=np.int64), _RS_SALT) % np.uint64(
             self.n_segments
         )).astype(np.int64)
         return [np.asarray([s], dtype=np.int64) for s in segs]

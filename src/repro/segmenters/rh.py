@@ -19,8 +19,4 @@ def learn_rh_segmenter(
     sample: np.ndarray, n_segments: int, *, alpha: float = 0.15, seed: int = 0
 ) -> HyperplaneTreeSegmenter:
     """Learn an RH segmenter with ``n_segments`` leaves (power of two)."""
-    depth = int(np.log2(n_segments))
-    if (1 << depth) != n_segments:
-        raise ValueError(f"n_segments must be a power of 2, got {n_segments}")
-    root = learn_tree(sample, depth, alpha, _random_unit, seed=seed)
-    return HyperplaneTreeSegmenter(root, kind="RH", alpha=alpha)
+    return learn_tree(sample, n_segments, alpha, _random_unit, kind="RH", seed=seed)

@@ -186,6 +186,12 @@ class TestCosine:
         np.testing.assert_allclose(dists[0], [0.0, 1.0, 2.0], atol=1e-5)
 
 
+def _cosine_index(ds):
+    idx = HNSWIndex(ds.dim, M=8, ef_construction=40, metric="cosine", seed=4)
+    idx.add_items(ds.base[:300], ds.ids[:300])
+    return idx
+
+
 class TestSerialization:
     def test_roundtrip_identical_results(self, small_index, small_ds):
         clone = HNSWIndex.from_bytes(small_index.to_bytes())
@@ -193,6 +199,25 @@ class TestSerialization:
         b = clone.search(small_ds.queries[:20], 10, ef=80)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_allclose(a[1], b[1], rtol=1e-6)
+
+    @pytest.mark.parametrize("which", ["small", "empty", "cosine"])
+    def test_roundtrip_structurally_equal(self, which, small_index, small_ds):
+        idx = {
+            "small": lambda: small_index,
+            "empty": lambda: HNSWIndex(small_ds.dim),
+            "cosine": lambda: _cosine_index(small_ds),
+        }[which]()
+        clone = HNSWIndex.from_bytes(idx.to_bytes())
+        assert clone._links == idx._links
+        assert clone._levels == idx._levels
+        assert clone._entry == idx._entry
+        assert clone._data.dtype == np.float32 and clone.ids.dtype == np.int64
+        np.testing.assert_array_equal(clone._data, idx._data)
+        np.testing.assert_array_equal(clone.ids, idx.ids)
+        a = idx.search(small_ds.queries[:10], 5, ef=40)
+        b = clone.search(small_ds.queries[:10], 5, ef=40)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_roundtrip_preserves_params(self, small_index):
         clone = HNSWIndex.from_bytes(small_index.to_bytes())

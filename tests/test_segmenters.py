@@ -12,7 +12,7 @@ from repro.segmenters import (
     segmenter_from_bytes,
 )
 from repro.segmenters.base import mix64, validate_spill
-from repro.segmenters.hyperplane import Node, learn_tree, tree_depth
+from repro.segmenters.hyperplane import learn_tree
 from repro.synth_data import gaussian_mixture
 
 
@@ -89,44 +89,44 @@ class TestRandomSegmenter:
         assert all(x.tolist() == [0] for x in seg.route(ds.queries[:5]))
 
 
+def _gaussian_dir(s, r):
+    return r.standard_normal(s.shape[1])
+
+
 class TestLearnTree:
     def test_depth_and_leaf_count(self, ds):
         for depth in (1, 2, 3):
-            root = learn_tree(
-                ds.base, depth, 0.1,
-                lambda s, r: r.standard_normal(s.shape[1]), seed=0,
-            )
-            assert tree_depth(root) == depth
+            seg = learn_tree(ds.base, 1 << depth, 0.1, _gaussian_dir, kind="RH", seed=0)
+            assert seg.H.shape == ((1 << depth) - 1, ds.base.shape[1])
+            assert seg.n_segments == 1 << depth
 
     def test_invalid_inputs(self, ds):
-        fn = lambda s, r: r.standard_normal(s.shape[1])
+        fn = _gaussian_dir
         with pytest.raises(ValueError):
-            learn_tree(ds.base, 0, 0.1, fn)
+            learn_tree(ds.base, 1, 0.1, fn, kind="RH")
         with pytest.raises(ValueError):
-            learn_tree(ds.base, 2, 0.6, fn)
+            learn_tree(ds.base, 2, 0.6, fn, kind="RH")
         with pytest.raises(ValueError):
-            learn_tree(ds.base[:1], 1, 0.1, fn)
+            learn_tree(ds.base[:1], 2, 0.1, fn, kind="RH")
         with pytest.raises(ValueError):
-            learn_tree(ds.base, 1, 0.1, lambda s, r: np.zeros(s.shape[1]))
+            learn_tree(ds.base, 2, 0.1, lambda s, r: np.zeros(s.shape[1]), kind="RH")
 
     def test_node_band_brackets_split(self, ds):
-        root = learn_tree(
-            ds.base, 3, 0.15, lambda s, r: r.standard_normal(s.shape[1]), seed=1
-        )
-
-        def walk(node):
-            if isinstance(node, int):
-                return
-            assert node.l <= node.s <= node.r
-            assert abs(np.linalg.norm(node.h) - 1.0) < 1e-5
-            walk(node.left)
-            walk(node.right)
-
-        walk(root)
+        seg = learn_tree(ds.base, 8, 0.15, _gaussian_dir, kind="RH", seed=1)
+        assert np.all(seg.l <= seg.s) and np.all(seg.s <= seg.r)
+        np.testing.assert_allclose(np.linalg.norm(seg.H, axis=1), 1.0, atol=1e-5)
 
     def test_node_validation(self):
         with pytest.raises(ValueError):
-            Node(h=np.ones(2), s=0.0, l=0.5, r=1.0, left=0, right=1)
+            HyperplaneTreeSegmenter(
+                np.ones((1, 2)), [0.0], [0.5], [1.0], kind="RH", alpha=0.1
+            )
+
+    @pytest.mark.parametrize("n_nodes", [0, 2])
+    def test_shape_validation(self, n_nodes):
+        z = np.zeros(n_nodes)
+        with pytest.raises(ValueError):
+            HyperplaneTreeSegmenter(np.ones((n_nodes, 2)), z, z, z, kind="RH", alpha=0.1)
 
 
 class TestHyperplaneSegmenters:
@@ -282,3 +282,50 @@ def test_property_rh_partition_is_total(depth, alpha, seed):
             assert all(0 <= s < (1 << depth) for s in a.tolist())
         for r in seg.route(data[:20], spill=spill):
             assert len(r) >= 1
+
+
+def _reference_leaves(seg, x, spilling):
+    """Per-row descent from the definition: node i tests x·H[i] against
+    s (median rule) or [l, r] (spill band); children are 2i+1 / 2i+2."""
+    n_nodes, leaves, stack = seg.n_segments - 1, [], [0]
+    while stack:
+        i = stack.pop()
+        if i >= n_nodes:
+            leaves.append(i - n_nodes)
+            continue
+        u = float(x @ seg.H[i])
+        if spilling:
+            if u <= seg.r[i]:
+                stack.append(2 * i + 1)
+            if u >= seg.l[i]:
+                stack.append(2 * i + 2)
+        else:
+            stack.append(2 * i + 1 if u < seg.s[i] else 2 * i + 2)
+    return sorted(leaves)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    depth=st.integers(1, 4),
+    alpha=st.floats(0.0, 0.3),
+    seed=st.integers(0, 50),
+    apd=st.booleans(),
+)
+def test_property_assign_route_match_reference_descent(depth, alpha, seed, apd):
+    """assign/route equal a per-row walk of the heap-ordered arrays, in
+    both spill modes. Checked on fresh points, so no projection ties a
+    learnt split value exactly."""
+    g = np.random.default_rng(seed)
+    data = g.normal(size=(300, 6)).astype(np.float32)
+    fresh = g.normal(size=(60, 6)).astype(np.float32)
+    learner = learn_apd_segmenter if apd else learn_rh_segmenter
+    seg = learner(data, 1 << depth, alpha=alpha, seed=seed)
+    for spill in ("virtual", "physical"):
+        for got, spilling in (
+            (seg.assign(fresh, np.arange(60), spill=spill), spill == "physical"),
+            (seg.route(fresh, spill=spill), spill == "virtual"),
+        ):
+            assert len(got) == len(fresh)
+            for x, leaves in zip(fresh, got):
+                assert leaves.dtype == np.int64
+                assert leaves.tolist() == _reference_leaves(seg, x, spilling)
