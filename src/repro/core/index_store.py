@@ -8,6 +8,9 @@ substitution #3: local filesystem standing in for HDFS).
   shard=<s>/segment=<m>.hnsw   # HNSW as a repro.npz blob, written from executors
 ```
 
+Every (shard, segment) has a file: the build writes an empty index, from
+the driver, for each segment no point reached.
+
 The metadata bundles everything the online searcher needs to deserialize
 consistently (paper Sec 7: distance function, segmenter, build params
 ship with the index so offline build and online serving cannot drift).

@@ -6,12 +6,15 @@ Dataflow, at the DataFrame layer throughout:
    is tagged with its shard id and segment id(s) (``tag_partitions``);
 2. the tagged dataset is repartitioned by (shard, segment) — grouped into
    *executor buckets* to model a cluster with E executors (DESIGN.md
-   substitution #4): bucket ``(s·m + seg) mod E`` is one Spark task that
-   builds its (shard, segment) groups sequentially, exactly like one
-   executor draining its task queue;
+   substitution #4): bucket ``(s·m + seg) mod E`` is Spark task number
+   ``b`` (``executor_bucket``), which builds its (shard, segment) groups
+   sequentially, exactly like one executor draining its task queue;
 3. each group's HNSW index is built inside the task and serialized to the
    index store ("HDFS") *from the executor itself*;
-4. metadata + the segmenter are written from the driver.
+4. from the driver: an empty index for every (shard, segment) no point
+   reached, so that every segment the segmenter can route to exists, then
+   the metadata + the segmenter. The vector dimension comes from the
+   tasks' summary rows; no extra job reads the input again to learn it.
 """
 from __future__ import annotations
 
@@ -20,15 +23,15 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.index_store import IndexMetadata, IndexStore
-from repro.core.partitioner import tag_partitions
+from repro.core.partitioner import executor_bucket, tag_partitions
 from repro.hnsw.graph import HNSWIndex
 from repro.segmenters.base import Segmenter, validate_spill
 
 BUILD_SUMMARY_SCHEMA = (
-    "shard_id long, segment_id long, n_items long, path string, build_seconds double"
+    "shard_id long, segment_id long, n_items long, dim long, path string,"
+    " build_seconds double"
 )
 
 
@@ -48,8 +51,9 @@ def build_index(
     id_col: str = "id",
     vec_col: str = "vector",
 ) -> pd.DataFrame:
-    """Build a two-level partitioned LANNS index; returns the per-partition
-    build summary (shard, segment, n_items, path, build_seconds)."""
+    """Build a two-level partitioned LANNS index; returns the build summary
+    (shard, segment, n_items, dim, path, build_seconds) of every partition
+    that received points."""
     validate_spill(spill)
     store = IndexStore(store_root)
     n_segments = segmenter.n_segments
@@ -58,13 +62,18 @@ def build_index(
 
     tagged = tag_partitions(
         spark, df, segmenter, n_shards, spill=spill, id_col=id_col, vec_col=vec_col
-    ).withColumn(
-        "bucket",
-        (F.col("shard_id") * F.lit(n_segments) + F.col("segment_id")) % F.lit(n_exec),
-    )
+    ).withColumn("bucket", executor_bucket(n_segments, n_exec))
 
     root = store.root
-    dim_holder: dict[str, int] = {}
+
+    def new_index(s: int, m: int, dim: int) -> HNSWIndex:
+        return HNSWIndex(
+            dim,
+            M=hnsw_m,
+            ef_construction=ef_construction,
+            metric=metric,
+            seed=seed + 1_000_003 * s + m,
+        )
 
     def build_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -74,13 +83,7 @@ def build_index(
             vecs = np.stack(grp[vec_col].to_numpy()).astype(np.float32)
             ids = grp[id_col].to_numpy(np.int64)
             t0 = time.perf_counter()
-            idx = HNSWIndex(
-                vecs.shape[1],
-                M=hnsw_m,
-                ef_construction=ef_construction,
-                metric=metric,
-                seed=seed + 1_000_003 * int(s) + int(m),
-            )
+            idx = new_index(int(s), int(m), vecs.shape[1])
             idx.add_items(vecs, ids)
             blob = idx.to_bytes()
             path = local_store.write_index_bytes(int(s), int(m), blob)
@@ -89,13 +92,14 @@ def build_index(
                     "shard_id": int(s),
                     "segment_id": int(m),
                     "n_items": int(len(ids)),
+                    "dim": int(vecs.shape[1]),
                     "path": path,
                     "build_seconds": time.perf_counter() - t0,
                 }
             )
         return pd.DataFrame(
             rows,
-            columns=["shard_id", "segment_id", "n_items", "path", "build_seconds"],
+            columns=["shard_id", "segment_id", "n_items", "dim", "path", "build_seconds"],
         )
 
     summary = (
@@ -108,13 +112,21 @@ def build_index(
     )
     if summary.empty:
         raise ValueError("build produced no partitions — is the input empty?")
+    dims = summary["dim"].unique()
+    if len(dims) != 1:
+        raise ValueError(f"input vectors have mixed dimensions {sorted(dims)}")
+    dim = int(dims[0])
 
-    # Driver-side: metadata + segmenter accompany the index (Fig 6).
-    first_vec = df.select(vec_col).head()[0]
+    # Driver-side: empty segments, metadata + segmenter (Fig 6).
+    built = set(zip(summary["shard_id"].tolist(), summary["segment_id"].tolist()))
+    for s in range(n_shards):
+        for m in range(n_segments):
+            if (s, m) not in built:
+                store.write_index_bytes(s, m, new_index(s, m, dim).to_bytes())
     store.save_segmenter(segmenter)
     store.save_metadata(
         IndexMetadata(
-            dim=len(first_vec),
+            dim=dim,
             metric=metric,
             n_shards=n_shards,
             n_segments=n_segments,

@@ -6,16 +6,22 @@ Level 2 — *segmentation*: the broadcast segmenter maps each point to one
 or more segments within its shard (and each query to the segment(s) it
 must probe). Both taggers are DataFrame → DataFrame transformations with
 the numpy work inside Arrow-backed ``mapInPandas``.
+
+The build and the query jobs then place the (shard, segment) groups on
+*executor buckets* (DESIGN.md substitution #4): ``executor_bucket`` gives
+every bucket a key that ``repartition(E, key)`` sends to its own task.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.segmenters.base import Segmenter, mix64
 
 SHARD_SALT = 7  # distinct from the RS segmenter salt (see random_segmenter)
+_M32 = 0xFFFFFFFF
 
 
 def shard_of(ids: np.ndarray, n_shards: int) -> np.ndarray:
@@ -105,3 +111,41 @@ def route_queries(
 
     schema = f"{id_col} long, segment_id long, shard_id long"
     return queries_df.select(id_col, vec_col).mapInPandas(route, schema=schema)
+
+
+def spark_hash_long(k: int) -> int:
+    """Spark's ``Murmur3_x86_32.hashLong`` with seed 42: ``F.hash`` of a long
+    column, and the hash ``repartition(n, col)`` takes ``pmod`` of."""
+
+    def mix(h: int, word: int) -> int:  # mixK1, then mixH1
+        word = (word * 0xCC9E2D51) & _M32
+        word = ((word << 15) | (word >> 17)) & _M32
+        h ^= (word * 0x1B873593) & _M32
+        h = ((h << 13) | (h >> 19)) & _M32
+        return (h * 5 + 0xE6546B64) & _M32
+
+    h = mix(mix(42, k & _M32), (k >> 32) & _M32) ^ 8  # fmix(h, 8 bytes)
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & _M32
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & _M32
+    h ^= h >> 16
+    return h - (1 << 32) if h & 0x80000000 else h
+
+
+def executor_bucket(n_segments: int, n_exec: int) -> Column:
+    """The executor bucket ``b = (shard_id·m + segment_id) mod E`` as a long
+    key that ``repartition(E, key)`` places in partition ``b``.
+
+    Hashing ``b`` itself collides (E=2 puts both buckets in one task), so
+    each ``b`` maps to the smallest non-negative ``k`` with
+    ``pmod(spark_hash_long(k), E) == b``, found here on the driver.
+    """
+    keys: dict[int, int] = {}
+    k = 0
+    while len(keys) < n_exec:
+        keys.setdefault(spark_hash_long(k) % n_exec, k)  # Python % is pmod
+        k += 1
+    b = (F.col("shard_id") * F.lit(n_segments) + F.col("segment_id")) % F.lit(n_exec)
+    table = F.array(*[F.lit(keys[i]).cast("long") for i in range(n_exec)])
+    return F.element_at(table, (b + 1).cast("int"))

@@ -7,8 +7,8 @@ Stages, each one a DataFrame transformation:
    applied after every later stage);
 2. a *SearchExecutorContext* is formed: each query is routed to every
    shard × the segment(s) the broadcast segmenter selects for it, and
-   the (shard, segment) probes are grouped into executor buckets
-   (DESIGN.md substitution #4). Only the probe ids
+   the (shard, segment) probes are grouped into executor buckets, bucket
+   ``b`` on Spark task ``b`` (DESIGN.md substitution #4). Only the probe ids
    (query_id, segment_id, shard_id) are shuffled; the query vectors reach
    every task through one broadcast, as in the brute force (Fig 8);
 3. partial search: each bucket task loads its (shard, segment) HNSW
@@ -28,12 +28,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.bruteforce.spark_bf import checkpoint, merge_topk
 from repro.core.index_store import IndexStore
-from repro.core.partitioner import route_queries
+from repro.core.partitioner import executor_bucket, route_queries
 from repro.core.topk import per_shard_topk
+from repro.hnsw.distance import check_vectors
 from repro.synth_data import vectors_to_df
 
 PARTIAL_SCHEMA = (
@@ -58,10 +58,12 @@ def query_index(
 
     Returns (query_id, neighbor_id, dist, rank) with rank 1..topk
     ascending by (dist, neighbor_id); query ids are row indices of
-    ``queries``.
+    ``queries``. Raises ``ValueError`` before any Spark job unless
+    ``queries`` is an (n, dim) matrix of finite values.
     """
     store = IndexStore(store_root)
     meta = store.load_metadata()
+    queries = check_vectors(queries, meta.dim)
     segmenter = store.load_segmenter()
     n_parts = meta.n_shards * meta.n_segments
     n_exec = min(n_executors or n_parts, n_parts)
@@ -71,7 +73,6 @@ def query_index(
         else topk
     )
 
-    queries = np.ascontiguousarray(queries, dtype=np.float32)
     bq = spark.sparkContext.broadcast(queries)
     qdf = vectors_to_df(spark, queries, id_col="query_id")
     if n_query_partitions:
@@ -81,11 +82,7 @@ def query_index(
 
     routed = route_queries(
         spark, qdf, segmenter, meta.n_shards, spill=meta.spill, id_col="query_id"
-    ).withColumn(
-        "bucket",
-        (F.col("shard_id") * F.lit(meta.n_segments) + F.col("segment_id"))
-        % F.lit(n_exec),
-    )
+    ).withColumn("bucket", executor_bucket(meta.n_segments, n_exec))
 
     root, ef_eff = store.root, ef
 

@@ -23,6 +23,21 @@ def validate_metric(metric: str) -> str:
     return metric
 
 
+def check_vectors(x, dim: int, what: str = "queries") -> np.ndarray:
+    """``x`` as a C-contiguous float32 (n, ``dim``) matrix.
+
+    Raises ``ValueError`` on any other shape and on a NaN or infinite
+    entry, which HNSW would otherwise insert, or answer with arbitrary ids
+    at NaN distances.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"expected (n, {dim}) {what}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} contain NaN or infinite values")
+    return x
+
+
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Row-normalize to unit L2 norm; zero rows are left as zeros."""
     x = np.asarray(x, dtype=np.float32)

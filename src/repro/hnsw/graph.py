@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from repro.hnsw.distance import normalize_rows, validate_metric
+from repro.hnsw.distance import check_vectors, normalize_rows, validate_metric
 from repro.npz import pack, unpack
 
 
@@ -86,9 +86,6 @@ class HNSWIndex:
 
     # ------------------------------------------------------- internal kernels
     def _prep_query(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float32).reshape(-1)
-        if q.shape[0] != self.dim:
-            raise ValueError(f"query dim {q.shape[0]} != index dim {self.dim}")
         if self.metric == "cosine":
             return normalize_rows(q[None, :])[0]
         return q
@@ -215,10 +212,9 @@ class HNSWIndex:
 
     # ---------------------------------------------------------------- insert
     def add_items(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """Insert a batch of vectors with external int64 ids (Alg 1)."""
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
-            raise ValueError(f"expected (n, {self.dim}) vectors, got {vectors.shape}")
+        """Insert a batch of vectors with external int64 ids (Alg 1);
+        ``ValueError`` on a wrong shape or a non-finite entry."""
+        vectors = check_vectors(vectors, self.dim, "vectors")
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         if ids.shape[0] != vectors.shape[0]:
             raise ValueError("ids and vectors length mismatch")
@@ -283,12 +279,11 @@ class HNSWIndex:
 
         Returns ``(ids, dists)`` of shape (q, k'), k' = min(k, n_items),
         ids are *external* ids, dists are true metric distances ascending.
+        ``ValueError`` on a wrong width or a non-finite query.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[None, :]
+        queries = check_vectors(np.atleast_2d(queries), self.dim)
         n = self.n_items
         kk = min(k, n)
         out_ids = np.empty((queries.shape[0], kk), dtype=np.int64)

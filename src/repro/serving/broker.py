@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.core.index_store import IndexStore
 from repro.core.topk import merge_topk_arrays, per_shard_topk
+from repro.hnsw.distance import check_vectors
 from repro.serving.searcher import Searcher
 
 
@@ -41,7 +42,14 @@ class Broker:
         ]
 
     def search(self, query: np.ndarray, topk: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k over all shards; returns (ids, dists) ascending."""
+        """Top-k over all shards; returns (ids, dists) ascending.
+
+        ``ValueError``, before any searcher is asked, unless ``query`` is
+        one finite vector of the index's dimension.
+        """
+        if np.ndim(query) != 1:
+            raise ValueError(f"expected one query vector, got shape {np.shape(query)}")
+        query = check_vectors(np.reshape(query, (1, -1)), self.meta.dim)
         pstk = (
             per_shard_topk(topk, self.meta.n_shards, self.confidence)
             if self.use_per_shard_topk

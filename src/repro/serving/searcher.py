@@ -21,13 +21,12 @@ class Searcher:
         self.meta = store.load_metadata()
         self.segmenter = store.load_segmenter()
         self.ef = ef
+        if not 0 <= self.shard_id < self.meta.n_shards:
+            raise ValueError(f"no shard {shard_id} in a {self.meta.n_shards}-shard index")
+        # Every segment is on disk, empty ones included; a missing file raises.
         self._segments = {
-            m: store.read_index(shard_id, m)
-            for s, m in store.list_partitions()
-            if s == shard_id
+            m: store.read_index(self.shard_id, m) for m in range(self.meta.n_segments)
         }
-        if not self._segments:
-            raise ValueError(f"no segments on disk for shard {shard_id}")
 
     @property
     def n_segments(self) -> int:
@@ -44,10 +43,7 @@ class Searcher:
         segs = self.segmenter.route(query, spill=self.meta.spill)[0]
         ids, dists = [np.empty(0, np.int64)], [np.empty(0, np.float32)]
         for m in segs:
-            idx = self._segments.get(int(m))
-            if idx is None:
-                continue
-            i, d = idx.search(query, per_shard_topk, ef=self.ef)
+            i, d = self._segments[int(m)].search(query, per_shard_topk, ef=self.ef)
             ids.append(i[0])
             dists.append(d[0])
         return merge_topk_arrays(np.concatenate(ids), np.concatenate(dists), per_shard_topk)

@@ -58,6 +58,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             idx.add_items(np.zeros((2, 4), np.float32), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_raise(self, bad):
+        idx = HNSWIndex(4)
+        vecs = np.zeros((3, 4), np.float32)
+        vecs[1, 2] = bad
+        with pytest.raises(ValueError):
+            idx.add_items(vecs, np.arange(3))
+        assert idx.n_items == 0
+
     def test_incremental_adds(self):
         g = np.random.default_rng(0)
         a, b = g.normal(size=(60, 5)).astype(np.float32), g.normal(size=(40, 5)).astype(np.float32)
@@ -87,6 +96,13 @@ class TestSearch:
     def test_wrong_dim_raises(self, small_index):
         with pytest.raises(ValueError):
             small_index.search(np.zeros((1, 4), np.float32), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_raises(self, small_index, bad):
+        q = np.zeros((2, 16), np.float32)
+        q[1, 0] = bad
+        with pytest.raises(ValueError):
+            small_index.search(q, 3)
 
     def test_k_greater_than_n_returns_all(self):
         g = np.random.default_rng(2)

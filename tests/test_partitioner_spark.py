@@ -5,7 +5,13 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core.partitioner import route_queries, shard_of, tag_partitions
+from repro.core.partitioner import (
+    executor_bucket,
+    route_queries,
+    shard_of,
+    spark_hash_long,
+    tag_partitions,
+)
 from repro.oracle import assert_equivalent
 from repro.segmenters import RandomSegmenter, learn_rh_segmenter
 from repro.synth_data import gaussian_mixture, vectors_to_df
@@ -129,3 +135,37 @@ class TestRouteQueries:
         routed = route_queries(spark, qdf, rh, 2, spill="physical").toPandas()
         per = routed.groupby(["query_id", "shard_id"]).size()
         assert (per == 1).all()
+
+
+class TestExecutorBucket:
+    def test_hash_matches_spark(self, spark):
+        """The driver-side Murmur3 equals ``F.hash`` on longs of every sign
+        and width."""
+        keys = list(range(-300, 300)) + [2**31 - 1, 2**31, -(2**31) - 1, 2**32 + 5,
+                                         2**62, -(2**62), 2**63 - 1, -(2**63)]
+        rows = spark.createDataFrame([(k,) for k in keys], "k long").select(
+            "k", F.hash("k").alias("h")
+        ).collect()
+        assert len(rows) == len(keys)
+        for r in rows:
+            assert spark_hash_long(r["k"]) == r["h"], r["k"]
+
+    @pytest.mark.parametrize("n_exec", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+    def test_bucket_b_runs_on_task_b(self, spark, n_exec):
+        """After ``repartition(E, "bucket")`` — the shuffle both the build
+        and the query job run — Spark task b holds exactly the
+        (shard, segment) groups of bucket (s·m + seg) mod E = b."""
+        n_shards, n_segments = 2, 8
+        groups = spark.createDataFrame(
+            [(s, m) for s in range(n_shards) for m in range(n_segments)],
+            "shard_id long, segment_id long",
+        )
+        placed = (
+            groups.withColumn("bucket", executor_bucket(n_segments, n_exec))
+            .repartition(n_exec, "bucket")
+            .select("shard_id", "segment_id", F.spark_partition_id().alias("task"))
+            .toPandas()
+        )
+        index = (placed["shard_id"] * n_segments + placed["segment_id"]) % n_exec
+        assert len(placed) == n_shards * n_segments
+        assert (placed["task"] == index).all(), placed.assign(index=index)

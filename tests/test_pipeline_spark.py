@@ -10,10 +10,18 @@ import pandas as pd
 import pytest
 
 from repro.bruteforce.local import exact_topk
-from repro.core import IndexStore, build_index, per_shard_topk, query_index, route_queries
+from repro.core import (
+    IndexStore,
+    build_index,
+    per_shard_topk,
+    query_index,
+    route_queries,
+    shard_of,
+)
 from repro.eval.recall import recall_at_k
 from repro.oracle import assert_equivalent
-from repro.segmenters import learn_segmenter
+from repro.segmenters import RandomSegmenter, learn_segmenter
+from repro.serving import Broker
 from repro.synth_data import gaussian_mixture, vectors_to_df
 from tests.util import reference_partition_map
 
@@ -183,8 +191,6 @@ class TestQuery:
     def test_matches_serving_broker(self, spark, ds, df, apd_store_root, tmp_path, spill):
         """Offline Spark pipeline ≡ online broker path on the same store,
         under either spill mode."""
-        from repro.serving import Broker
-
         root = apd_store_root
         if spill == "physical":
             root = str(tmp_path / "apd-physical")
@@ -208,3 +214,58 @@ class TestQuery:
         res = query_index(spark, apd_store_root, ds.queries[:10], 5, ef=50)
         plan = res._jdf.queryExecution().executedPlan().toString()
         assert len(re.findall(r"\bExchange\b", plan)) == 2, plan
+
+
+class TestEdges:
+    def test_empty_segments_offline_matches_broker(self, spark, tmp_path):
+        """RS(8) over 5 points leaves segments empty. The build writes an
+        empty index for each, so the Spark query and the broker both read
+        every segment and agree, also with topk > n."""
+        g = np.random.default_rng(3)
+        base = g.normal(size=(5, 6)).astype(np.float32)
+        queries = g.normal(size=(4, 6)).astype(np.float32)
+        root = str(tmp_path / "tiny")
+        summary = build_index(spark, vectors_to_df(spark, base, np.arange(5)), root,
+                              RandomSegmenter(8), 2, n_executors=4, ef_construction=20)
+        store = IndexStore(root)
+        assert len(summary) < 16 and summary["n_items"].sum() == 5
+        assert (summary["dim"] == 6).all()
+        assert store.list_partitions() == [(s, m) for s in range(2) for m in range(8)]
+        assert store.load_metadata().dim == 6
+        res = query_index(spark, root, queries, 10, ef=50).toPandas()
+        broker = Broker(store, ef=50)
+        for q in range(len(queries)):
+            ids, _ = broker.search(queries[q], 10)
+            offline = res[res.query_id == q].sort_values("rank")["neighbor_id"]
+            assert sorted(offline.tolist()) == sorted(ids.tolist()) == list(range(5))
+
+    def test_mixed_dimensions_raise(self, spark, tmp_path):
+        """The dimension comes from the build tasks; partitions that
+        disagree fail the build instead of writing a wrong ``meta.dim``."""
+        g = np.random.default_rng(4)
+        ids = np.arange(40, dtype=np.int64)
+        shard = shard_of(ids, 2)
+        parts = [vectors_to_df(spark, g.normal(size=(int((shard == s).sum()), 3 + s)),
+                               ids[shard == s]) for s in (0, 1)]
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            build_index(spark, parts[0].union(parts[1]), str(tmp_path / "mixed"),
+                        RandomSegmenter(1), 2, ef_construction=20)
+
+    @pytest.mark.parametrize("case", ["one_vector", "wrong_dim", "nan", "inf"])
+    def test_bad_queries_rejected_before_any_job(self, spark, ds, apd_store_root, case):
+        queries = ds.queries[:4].copy()
+        if case == "one_vector":
+            queries = queries[0]
+        elif case == "wrong_dim":
+            queries = queries[:, :-1]
+        else:
+            queries[2, 1] = np.nan if case == "nan" else np.inf
+        sc = spark.sparkContext
+        sc.setJobGroup("bad-queries", "query_index on invalid queries")
+        try:
+            with pytest.raises(ValueError):
+                query_index(spark, apd_store_root, queries, 5, ef=50).toPandas()
+            assert list(sc.statusTracker().getJobIdsForGroup("bad-queries")) == []
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)

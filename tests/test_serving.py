@@ -1,4 +1,6 @@
 """Tests for the online serving simulation (repro.serving) — Sec 7."""
+import os
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ class TestSearcher:
     def test_missing_shard_raises(self, rs_store):
         with pytest.raises(ValueError):
             Searcher(rs_store, 9)
+
+    def test_missing_segment_raises(self, tmp_path):
+        """A segment file absent from the store fails the load; it is not
+        silently skipped."""
+        small = gaussian_mixture(n=200, dim=12, n_clusters=4, n_queries=1, seed=22)
+        store = build_local_store(small, str(tmp_path / "gap"), RandomSegmenter(4), 2)
+        os.remove(store.index_path(1, 2))
+        Searcher(store, 0)
+        with pytest.raises(FileNotFoundError):
+            Searcher(store, 1)
 
     def test_results_sorted_and_bounded(self, rs_store, ds):
         s = Searcher(rs_store, 0, ef=100)
@@ -119,6 +131,21 @@ class TestBroker:
             )
         assert abs(recs["virtual"] - recs["physical"]) < 0.05
         assert min(recs.values()) > 0.8
+
+    @pytest.mark.parametrize("case", ["matrix", "wrong_dim", "nan", "inf"])
+    def test_bad_query_rejected_before_fan_out(self, rs_store, ds, case):
+        broker = Broker(rs_store, ef=50)
+        for searcher in broker.searchers:
+            searcher.search = None  # any fan-out would raise TypeError
+        query = ds.queries[0].copy()
+        if case == "matrix":
+            query = ds.queries[:2]
+        elif case == "wrong_dim":
+            query = query[:-1]
+        else:
+            query[3] = np.nan if case == "nan" else np.inf
+        with pytest.raises(ValueError):
+            broker.search(query, 5)
 
     def test_stats_fields(self, rs_store, ds):
         broker = Broker(rs_store, ef=50)

@@ -4,6 +4,8 @@ tests without Spark and to cross-check the Spark pipeline's partition
 contents."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.core.index_store import IndexMetadata, IndexStore
@@ -38,12 +40,14 @@ def build_local_store(
     seed: int = 0,
 ) -> IndexStore:
     """Build a complete LANNS index store without Spark (for serving
-    tests and as ground truth for pipeline tests)."""
+    tests and as ground truth for pipeline tests); like ``build_index``,
+    it writes an empty index for every segment no point reached."""
     store = IndexStore(root)
     parts = reference_partition_map(ds, segmenter, n_shards, spill=spill)
     id_to_row = {int(i): r for r, i in enumerate(ds.ids)}
-    for (s, m), ids in parts.items():
-        rows = np.asarray([id_to_row[int(i)] for i in ids])
+    for s, m in itertools.product(range(n_shards), range(segmenter.n_segments)):
+        ids = parts.get((s, m), np.empty(0, np.int64))
+        rows = np.asarray([id_to_row[int(i)] for i in ids], dtype=np.intp)
         idx = HNSWIndex(
             ds.dim, M=hnsw_m, ef_construction=ef_construction, metric=ds.metric,
             seed=seed + 1_000_003 * s + m,
